@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build examples test race bench bench-json bench-1m bench-live-1m bench-gate bench-gateway bench-chaos bench-heal fmt vet vuln ci live-soak cluster-soak gateway-soak chaos-soak heal-soak fuzz-smoke doc-lint
+.PHONY: build examples test race bench perfbench bench-json bench-1m bench-live-1m bench-gate bench-gateway bench-chaos bench-heal fmt vet vuln ci live-soak cluster-soak gateway-soak chaos-soak heal-soak fuzz-smoke doc-lint
 
 build:
 	$(GO) build ./...
@@ -55,14 +55,14 @@ bench-1m:
 	fi
 
 # Million-host LIVE engine benchmark: the columnar population backend
-# driving 1,000,000 wall-clock hosts over real loopback UDP sockets,
-# batch-encoded datagrams end to end. -benchline emits a
+# driving 1,000,000 wall-clock hosts over real loopback TCP sockets,
+# batch-encoded frames end to end. -benchline emits a
 # Benchmark-formatted row (ns/tick, msgs/s, peak-rss-bytes) that
 # cmd/benchjson merges into BENCH_results.json next to the round-based
 # engine rows, so the artifact records both the synchronous and the
 # live million-host capability.
 bench-live-1m:
-	$(GO) run ./cmd/dynaggsim live -columnar -n 1000000 -transport=udp -benchline | tee BENCH_LIVE_raw.txt
+	$(GO) run ./cmd/dynaggsim live -columnar -n 1000000 -transport=tcp -benchline | tee BENCH_LIVE_raw.txt
 	@files=BENCH_LIVE_raw.txt; \
 	for f in BENCH_raw.txt BENCH_1M_raw.txt; do \
 		if [ -f $$f ]; then files="$$f $$files"; fi; \
@@ -83,7 +83,7 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -o BENCH_gate.json BENCH_gate_raw.txt
 
 # Transport/live-engine soak: the concurrency-heavy tests (goroutine
-# drivers, UDP readers, loss injection) twice under the race detector
+# drivers, TCP readers, loss injection) twice under the race detector
 # with a generous timeout, in their own CI lane so `make ci` stays
 # fast. (internal/wire is single-threaded; its tests already run under
 # race in `make ci` and its decoders get fuzz-smoke below.) The 'Live'
@@ -94,7 +94,7 @@ bench-gate:
 # driver-level — under race, since the sharded columnar executors are
 # the other concurrency-heavy surface.
 live-soak:
-	$(GO) test -race -count=2 -timeout 15m -run 'Live|Transport|Batch|Lossy|UDP' ./internal/gossip/live/...
+	$(GO) test -race -count=2 -timeout 15m -run 'Live|Transport|Batch|Lossy' ./internal/gossip/live/...
 	$(GO) test -race -count=2 -timeout 15m -run 'Columnar' ./internal/gossip ./internal/experiments
 
 # Multi-process cluster soak: the three-OS-process TCP bootstrap
@@ -205,9 +205,10 @@ doc-lint:
 # `go test`; this adds fresh mutation time. FuzzDecodeFrame covers the
 # TCP length-prefix framing; FuzzFrameScanner (in the transport
 # package) feeds the stream reassembly path adversarially chunked
-# frames and cross-checks it against the one-shot decoder.
+# frames and cross-checks it against the one-shot decoder, and
+# FuzzDecodeMultiBundle hammers the multi-protocol bundle decoder.
 FUZZ_TARGETS = FuzzDecodeCounters FuzzDecodeCountersMin FuzzDecodeCandidates FuzzDecodeHeader FuzzDecodeSketchBits FuzzDecodeMass FuzzDecodeFrame
-TRANSPORT_FUZZ_TARGETS = FuzzFrameScanner
+TRANSPORT_FUZZ_TARGETS = FuzzFrameScanner FuzzDecodeMultiBundle
 CHAOS_FUZZ_TARGETS = FuzzDecodeScenario
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -238,4 +239,10 @@ vet:
 vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-ci: fmt vet build examples race bench doc-lint
+# The benchmark harness is its own module (perfbench/, replace dynagg
+# => ../): vet and test it here so a change that breaks the API it
+# builds on fails CI, not just the benchmark run.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: fmt vet build examples race bench doc-lint perfbench

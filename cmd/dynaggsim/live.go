@@ -28,7 +28,7 @@ import (
 type liveOpts struct {
 	protocol   string // pushsum | revert | sketchreset
 	backend    string // agents | columnar
-	transport  string // chan | udp | tcp
+	transport  string // chan | tcp
 	loss       float64
 	wan        string // canned WAN preset name, or ""
 	groups     int
@@ -37,7 +37,6 @@ type liveOpts struct {
 	ticks      int
 	workers    int
 	seed       uint64
-	rcvbuf     int           // SO_RCVBUF for UDP sockets; 0 = auto
 	benchline  bool          // also print a Benchmark-formatted summary line
 	seeds      string        // comma-separated TCP bootstrap seed addrs; "" = single process
 	span       string        // this process's host range "lo:hi"; "" = full population
@@ -145,7 +144,7 @@ func runLive(out io.Writer, o liveOpts) error {
 			return fmt.Errorf("live: -seeds and -span must be set together (each process announces its span to the shared seed list)")
 		}
 		if o.transport != "tcp" {
-			return fmt.Errorf("live: -seeds/-span require -transport=tcp (bootstrap is the TCP membership layer; UDP spans exchange addresses out of band)")
+			return fmt.Errorf("live: -seeds/-span require -transport=tcp (bootstrap is the TCP membership layer)")
 		}
 		if o.backend == "columnar" {
 			return fmt.Errorf("live: the columnar backend drives the full population in one process; -seeds/-span need -backend=agents")
@@ -265,48 +264,20 @@ func runLive(out io.Writer, o liveOpts) error {
 		}
 	}
 
-	rcvbuf := o.rcvbuf
-	if rcvbuf == 0 && o.backend == "columnar" {
-		// A whole shard's wave lands on one socket between drains;
-		// give the kernel room for it.
-		rcvbuf = 4 << 20
+	queue := 0
+	if o.backend == "columnar" {
+		// A columnar tick arrives at each group as one burst of
+		// whole-shard batches; the default 256-batch queue sheds most
+		// of a million-host wave, so give the drains a tick's worth of
+		// headroom (~64 MiB of pooled buffers worst case).
+		queue = 1024
 	}
 	var tr transport.Transport
 	switch o.transport {
 	case "chan":
-		if o.backend == "columnar" {
-			// Group count doubles as the columnar shard count.
-			tr = transport.NewChannelGroups(o.n, 0, o.groups)
-		} else {
-			tr = transport.NewChannel(o.n, 0)
-		}
-	case "udp":
-		queue := 0
-		if o.backend == "columnar" {
-			// A columnar tick arrives at each group as one burst of
-			// whole-shard batches; the default 256-batch queue sheds
-			// most of a million-host wave, so give the drains a
-			// tick's worth of headroom (~64 MiB of pooled buffers
-			// worst case).
-			queue = 1024
-		}
-		udp, err := transport.NewUDP(
-			transport.WithLoopbackGroups(o.n, o.groups),
-			transport.WithReadBuffer(rcvbuf),
-			transport.WithQueueCapacity(queue),
-		)
-		if err != nil {
-			return err
-		}
-		defer udp.Close()
-		tr = udp
+		// Group count doubles as the columnar shard count.
+		tr = transport.NewChannelGroups(o.n, queue, o.groups)
 	case "tcp":
-		queue := 0
-		if o.backend == "columnar" {
-			// Same headroom rationale as UDP: a columnar tick is one
-			// burst of whole-shard batch frames per group.
-			queue = 1024
-		}
 		var tcp *transport.TCP
 		var err error
 		if cluster {
@@ -331,7 +302,7 @@ func runLive(out io.Writer, o liveOpts) error {
 		defer tcp.Close()
 		tr = tcp
 	default:
-		return fmt.Errorf("live: unknown -transport %q (chan, udp, tcp)", o.transport)
+		return fmt.Errorf("live: unknown -transport %q (chan, tcp)", o.transport)
 	}
 	tr, injectedLoss, err := resolveLossTransport(tr, o.wan, o.loss, o.seed+1)
 	if err != nil {
@@ -379,8 +350,8 @@ func runLive(out io.Writer, o liveOpts) error {
 	}
 	fmt.Fprintf(out, "live config: protocol=%s backend=%s transport=%s n=%d ticks=%d groups=%d\n",
 		o.protocol, o.backend, name, o.n, o.ticks, o.groups)
-	fmt.Fprintf(out, "             loss=%.4f%s pace=%v workers=%d seed=%d rcvbuf=%d\n",
-		injectedLoss, lossNote, o.pace, o.workers, o.seed, rcvbuf)
+	fmt.Fprintf(out, "             loss=%.4f%s pace=%v workers=%d seed=%d\n",
+		injectedLoss, lossNote, o.pace, o.workers, o.seed)
 	if cluster {
 		fmt.Fprintf(out, "bootstrap:   span [%d,%d) listening on %s  seeds %s\n",
 			span.Lo, span.Hi, selfAddr, o.seeds)

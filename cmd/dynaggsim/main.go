@@ -26,15 +26,15 @@
 //
 //	live   run a protocol on the live engine (-protocol pushsum|
 //	       revert|sketchreset) over a transport (-transport
-//	       chan|udp|tcp) on either population backend (-backend
+//	       chan|tcp) on either population backend (-backend
 //	       agents|columnar, or the -columnar shorthand: per-host
 //	       goroutine-safe agents vs. the struct-of-arrays columns that
 //	       scale to a million live hosts), with optional injected loss
 //	       (-loss 0.2) or a canned WAN preset (-wan lan|3g|sat:
 //	       loss+delay+jitter à la netem; over tcp a loss draw kills
-//	       the carrying connection instead of dropping a datagram),
-//	       socket/shard group count (-udp-groups 4), UDP receive
-//	       buffer (-rcvbuf bytes), wall-clock duty cycle (-pace 4ms),
+//	       the carrying connection instead of dropping one message),
+//	       listener/shard group count (-groups 4), wall-clock duty
+//	       cycle (-pace 4ms),
 //	       tick count (-ticks 60), and -benchline to append a
 //	       Benchmark-formatted summary row for cmd/benchjson.
 //	       With -transport=tcp a process can join a multi-process
@@ -165,14 +165,13 @@ func run(args []string) error {
 	contacts := fs.Bool("contacts", false, "parse -in as a CRAWDAD contact table")
 	protocol := fs.String("protocol", "pushsum", "protocol for bench/live modes (bench: pushsum, revert, sketchreset, sketchcount, extremes, moments; live: pushsum, revert, sketchreset)")
 	benchModel := fs.String("model", "push", "bench gossip model: push or pushpull")
-	transportName := fs.String("transport", "chan", "live transport: chan (in-process channels), udp (wire-encoded loopback datagrams), or tcp (length-prefixed frames over cached connections)")
+	transportName := fs.String("transport", "chan", "live transport: chan (in-process channels) or tcp (length-prefixed frames over cached connections)")
 	loss := fs.Float64("loss", 0, "live per-message drop probability injected over the transport")
 	wan := fs.String("wan", "", "live canned WAN preset layered over the transport: lan, 3g, or sat (loss+delay+jitter; mutually exclusive with -loss)")
-	groups := fs.Int("udp-groups", 4, "live UDP/TCP loopback transports: host groups (= sockets/listeners)")
+	groups := fs.Int("groups", 4, "live: host groups (= TCP loopback listeners, and columnar shards on either transport)")
 	pace := fs.Duration("pace", 0, "live tick duty cycle; 0 = free-running (sketchreset defaults to 4ms)")
 	ticks := fs.Int("ticks", 0, "live ticks per host (default 60)")
 	backend := fs.String("backend", "", "live population backend: agents (default; per-host boxed agents) or columnar (dense struct-of-arrays columns; -columnar is shorthand)")
-	rcvbuf := fs.Int("rcvbuf", 0, "live UDP socket receive buffer in bytes; 0 = auto (4 MiB for the columnar backend)")
 	benchline := fs.Bool("benchline", false, "live/chaos: also print a Benchmark-formatted summary line for cmd/benchjson (live: ns/tick, msgs/s, peak-rss-bytes; chaos: ns/run, damage and audit numbers)")
 	seeds := fs.String("seeds", "", "live/gateway TCP bootstrap: comma-separated seed addresses shared by every process of the deployment (live: requires -span and -transport=tcp)")
 	spanFlag := fs.String("span", "", "live TCP bootstrap: this process's host range lo:hi of the -n population (requires -seeds)")
@@ -296,8 +295,7 @@ func run(args []string) error {
 		return runLive(out, liveOpts{
 			protocol: *protocol, backend: be, transport: *transportName,
 			loss: *loss, wan: *wan, groups: *groups, pace: *pace, n: *n,
-			ticks: *ticks, workers: sc.Workers, seed: *seed,
-			rcvbuf: *rcvbuf, benchline: *benchline,
+			ticks: *ticks, workers: sc.Workers, seed: *seed, benchline: *benchline,
 			seeds: *seeds, span: *spanFlag, listen: *listen,
 			aggregates: *aggregates, observerSlots: *observerSlots,
 			replace: *replace, reannounce: *reannounce,
@@ -507,8 +505,8 @@ engine bench: bench [-protocol pushsum|revert|sketchreset|sketchcount|extremes|m
              [-n N (default 1,000,000)] [-rounds R] [-workers W] [-seed S]
 live engine: live [-protocol pushsum|revert|sketchreset|multi]
              [-backend agents|columnar | -columnar]
-             [-transport chan|udp|tcp] [-loss P | -wan lan|3g|sat]
-             [-udp-groups G] [-rcvbuf BYTES] [-pace DUR] [-ticks T]
+             [-transport chan|tcp] [-loss P | -wan lan|3g|sat]
+             [-groups G] [-pace DUR] [-ticks T]
              [-n N] [-workers W] [-seed S] [-benchline]
              [-span LO:HI -seeds ADDRS [-listen ADDR]]  (tcp cluster member)
              [-replace] [-reannounce DUR]               (supervised member)

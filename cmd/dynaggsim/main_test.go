@@ -111,8 +111,9 @@ func TestRunLiveTransports(t *testing.T) {
 	dir := t.TempDir()
 	cases := [][]string{
 		{"live", "-n", "128", "-ticks", "30"},
-		{"live", "-n", "128", "-ticks", "30", "-transport", "udp", "-udp-groups", "2"},
-		{"live", "-n", "128", "-ticks", "30", "-transport", "udp", "-loss", "0.2"},
+		{"live", "-n", "128", "-ticks", "30", "-transport", "tcp", "-groups", "2", "-pace", "1ms"},
+		{"live", "-n", "128", "-ticks", "30", "-transport", "tcp", "-loss", "0.2", "-pace", "1ms"},
+		{"live", "-n", "128", "-ticks", "30", "-columnar", "-groups", "2"},
 		{"live", "-n", "128", "-ticks", "30", "-protocol", "revert", "-loss", "0.1"},
 	}
 	for i, args := range cases {
@@ -134,8 +135,11 @@ func TestRunLiveRejectsBadKnobs(t *testing.T) {
 	if err := run([]string{"live", "-protocol", "nope"}); err == nil {
 		t.Error("unknown protocol accepted")
 	}
-	if err := run([]string{"live", "-transport", "carrier-pigeon"}); err == nil {
-		t.Error("unknown transport accepted")
+	for _, name := range []string{"carrier-pigeon", "udp"} {
+		err := run([]string{"live", "-n", "16", "-ticks", "1", "-transport", name})
+		if err == nil || !strings.Contains(err.Error(), "(chan, tcp)") {
+			t.Errorf("-transport %s: err = %v, want an error listing chan, tcp", name, err)
+		}
 	}
 	if err := run([]string{"live", "-loss", "1.5", "-n", "16", "-ticks", "1"}); err == nil {
 		t.Error("loss probability above 1 accepted")

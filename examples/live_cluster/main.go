@@ -1,10 +1,8 @@
 // live_cluster demonstrates bootstrap membership over the TCP
 // transport: one gossip population split across THREE OS PROCESSES
 // that find each other from a static seed address — no parent-process
-// coordination, no stdio handshake. Compare examples/live_udp, where
-// the parent must shuttle ephemeral socket addresses through the
-// child's stdin/stdout before any datagram can flow: here every member
-// is started with the same seed list, announces its own [Lo,Hi) host
+// coordination, no stdio handshake. Every member is started with the
+// same seed list, announces its own [Lo,Hi) host
 // range to it, and blocks until the whole population is mapped
 // (live.Bootstrap). Members can start in any order; one that comes up
 // before the seed simply retries until the seed exists.

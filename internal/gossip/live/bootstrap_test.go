@@ -15,12 +15,11 @@ import (
 )
 
 // tickPace returns the wall-clock duty cycle for TCP convergence
-// tests. Unlike UDP, where Send hands the datagram to the kernel
-// inline, TCP sends are queued for an asynchronous writer goroutine —
+// tests. TCP sends are queued for an asynchronous writer goroutine —
 // a free-running engine finishes all its ticks before the first dial
 // completes, so the hosts must tick at a realistic rate for traffic to
 // actually flow. The race detector multiplies the per-frame cost, so
-// the cycle stretches with it (same idiom as the UDP live tests).
+// the cycle stretches with it.
 func tickPace() time.Duration {
 	if raceEnabled {
 		return 20 * time.Millisecond
@@ -75,7 +74,7 @@ func TestBootstrapConfigValidation(t *testing.T) {
 	defer tr.Close()
 	agents, _ := pushSumAgents(n)
 	base := Config{
-		Env: u, Agents: agents[:4], Model: gossip.Push, Seed: 1, Ticks: 1,
+		Env: u, Population: NewAgentPopulation(agents[:4]), Model: gossip.Push, Seed: 1, Ticks: 1,
 		Transport: tr, Span: Span{Lo: 0, Hi: 4},
 	}
 
@@ -175,7 +174,7 @@ func bootstrapEngines(t *testing.T, n int, spans []Span, seedAddr string, trs []
 	engines := make([]*Engine, len(spans))
 	for i, span := range spans {
 		e, err := New(Config{
-			Env: env.NewUniform(n), Agents: agents[span.Lo:span.Hi],
+			Env: env.NewUniform(n), Population: NewAgentPopulation(agents[span.Lo:span.Hi]),
 			Model: gossip.Push, Seed: 41, Ticks: 80,
 			Transport: trs[i], Span: span,
 			TickEvery: tickPace(), Workers: 4,
@@ -267,7 +266,7 @@ func TestLiveBootstrapLateSeed(t *testing.T) {
 	mkEngine := func(i int) *Engine {
 		span := spans[i]
 		e, err := New(Config{
-			Env: env.NewUniform(n), Agents: agents[span.Lo:span.Hi],
+			Env: env.NewUniform(n), Population: NewAgentPopulation(agents[span.Lo:span.Hi]),
 			Model: gossip.Push, Seed: 43, Ticks: 60,
 			Transport: trs[i], Span: span,
 			TickEvery: tickPace(), Workers: 4,
@@ -405,7 +404,7 @@ func TestLivePushSumOverTCPWithLossConverges(t *testing.T) {
 	}
 	defer lt.Close()
 	e, err := New(Config{
-		Env: env.NewUniform(n), Agents: agents, Model: gossip.Push, Seed: 11, Ticks: 80,
+		Env: env.NewUniform(n), Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 11, Ticks: 80,
 		Transport: lt, TickEvery: tickPace(), Workers: 4,
 	})
 	if err != nil {

@@ -38,7 +38,7 @@ type ColumnarProtocol interface {
 	gossip.ColumnarAgent
 	// WireKind tags this protocol's batch records; a batch whose first
 	// byte does not match the running protocol's kind is discarded
-	// whole (a datagram from some other experiment, or garbage).
+	// whole (a frame from some other experiment, or garbage).
 	WireKind() uint8
 	// AppendWire appends emitted message m's payload record to dst,
 	// reading from the population's columns, and returns the extended
@@ -60,7 +60,7 @@ type ColumnarProtocol interface {
 //
 // Requirements: the full population (no Span), the push model
 // (push/pull pairs cross shard ownership), and a transport exposing a
-// batch plane (transport.Batcher — the channel and UDP transports
+// batch plane (transport.Batcher — the channel and TCP transports
 // both qualify, plain or wrapped in transport.Lossy). Liveness must be
 // time-invariant, as everywhere in the live engine: a host that is
 // dead at one tick must be dead at every tick, or its queued inbound
@@ -319,9 +319,9 @@ func (s *colShard) encode(t int, m gossip.ColMsg) {
 // deliverBatch folds one inbound batch body into the shard's columns:
 // check the protocol kind, then walk the records — uvarint destination
 // id, protocol payload — bounds-checking every destination against the
-// shard's host range so a corrupt datagram cannot write another
+// shard's host range so a corrupt frame cannot write another
 // shard's (or nobody's) state. A record that fails to parse discards
-// the rest of the batch, mirroring the classic reader's whole-datagram
+// the rest of the batch, mirroring the classic reader's whole-frame
 // drop on decode errors.
 func (s *colShard) deliverBatch(body []byte) {
 	p := s.p

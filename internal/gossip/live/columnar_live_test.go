@@ -27,24 +27,17 @@ func liveValues(n int) ([]float64, float64) {
 	return values, sum / float64(n)
 }
 
-// TestLiveColumnarPushSumOverUDPWithLossConverges is the columnar
-// mirror of the classic tentpole integration test, at 16x the
-// population: Push-Sum on the dense-column backend, every cross-shard
-// wave batch-encoded into loopback datagrams through eight sockets,
-// 20% of batches dropped by the loss injector — and the estimate still
-// lands within the live engine's usual tolerance.
-func TestLiveColumnarPushSumOverUDPWithLossConverges(t *testing.T) {
+// TestLiveColumnarPushSumWithLossConverges is the columnar mirror of
+// the classic loss integration test, at 16x the population: Push-Sum
+// on the dense-column backend, every cross-shard wave batch-encoded
+// across eight groups, 20% of batches dropped by the seeded injector —
+// and the estimate still lands within the live engine's usual
+// tolerance. (TestLiveColumnarOverTCPConverges covers the wire path.)
+func TestLiveColumnarPushSumWithLossConverges(t *testing.T) {
 	const n = 4096
 	values, truth := liveValues(n)
-	udp, err := transport.NewUDP(
-		transport.WithLoopbackGroups(n, 8),
-		transport.WithReadBuffer(4<<20),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer udp.Close()
-	lt, err := transport.NewLossy(udp, transport.WithLoss(0.2), transport.WithLossSeed(12))
+	lt, err := transport.NewLossy(transport.NewChannelGroups(n, 0, 8),
+		transport.WithLoss(0.2), transport.WithLossSeed(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +66,7 @@ func TestLiveColumnarPushSumOverUDPWithLossConverges(t *testing.T) {
 }
 
 // TestLiveColumnarChannelGroupsConverges runs the columnar backend on
-// the in-process batch plane: same shard/group routing as UDP, no
+// the in-process batch plane: same shard/group routing as TCP, no
 // sockets or codecs in the way, so a failure here is in the population
 // or batch bookkeeping rather than the wire.
 func TestLiveColumnarChannelGroupsConverges(t *testing.T) {
@@ -125,7 +118,7 @@ func TestLiveColumnarRevertConverges(t *testing.T) {
 // TestLiveColumnarSketchResetPacedConverges covers the third wire
 // hook: Count-Sketch-Reset's RLE age matrices ride the batch plane and
 // min-merge straight off the wire into the destination columns. Paced
-// like the classic UDP variant, small sketch for CI (same tolerance).
+// like the classic TCP variant, small sketch for CI (same tolerance).
 func TestLiveColumnarSketchResetPacedConverges(t *testing.T) {
 	const n = 512
 	pace := 4 * time.Millisecond

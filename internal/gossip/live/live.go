@@ -26,11 +26,12 @@
 //
 // Messages travel through a transport.Transport. The default is the
 // in-process channel transport (the engine's original inbox plumbing,
-// unchanged); transport.UDP puts every payload on a real loopback
-// socket in its internal/wire encoding, and transport.Lossy injects
-// message loss over either. With Config.Span, several engines — in
-// several OS processes — can each drive a slice of one population over
-// UDP, which makes this a distributed system rather than a simulator.
+// unchanged); transport.TCP puts every payload on a real socket in its
+// internal/wire encoding, and transport.Lossy injects seeded message
+// loss over either. With Config.Span and Config.Bootstrap, several
+// engines — in several OS processes — each drive a slice of one
+// population over TCP, which makes this a distributed system rather
+// than a simulator.
 //
 // Restrictions compared to the round engine: the environment must be
 // time-invariant (Uniform or Grid; contact traces need the global
@@ -66,18 +67,10 @@ const Forever = -1
 type Config struct {
 	// Population is the host-state backend the engine drives: build it
 	// with NewAgentPopulation (one gossip.Agent per host, the classic
-	// per-goroutine form) or NewColumnarPopulation (dense columns,
-	// per-shard drivers, batch transport I/O). Exactly one of
-	// Population and the deprecated Agents must be set.
+	// per-goroutine form; agent i is host Span.Lo+i) or
+	// NewColumnarPopulation (dense columns, per-shard drivers, batch
+	// transport I/O). Required.
 	Population Population
-	// Agents are the protocol instances, one per driven host: agent i
-	// is host Span.Lo+i (host i for a full-population engine).
-	//
-	// Deprecated: set Population to NewAgentPopulation(agents)
-	// instead. New wraps a non-nil Agents slice in exactly that shim,
-	// so behavior is identical; the field remains only so existing
-	// construction sites keep working.
-	Agents []gossip.Agent
 	// Env supplies liveness and peer selection. It must be
 	// time-invariant: Advance is never called and the round argument
 	// passed to Alive/Pick is the host's local tick count.
@@ -117,7 +110,7 @@ type Config struct {
 	// in-process channel transport over the full population — the
 	// engine's original behavior. Columnar populations additionally
 	// require the transport to expose a batch plane
-	// (transport.Batcher; the channel and UDP transports both do). The
+	// (transport.Batcher; the channel and TCP transports both do). The
 	// engine never closes the transport; the caller owns its lifetime
 	// (the default channel transport needs no closing).
 	Transport transport.Transport
@@ -131,8 +124,7 @@ type Config struct {
 	// before driving any ticks: the engine announces Span to the seed
 	// addresses and blocks until the whole population is mapped (see
 	// Bootstrap). Requires Span, and a TCP transport at the bottom of
-	// the Transport stack — datagram transports exchange addresses out
-	// of band instead.
+	// the Transport stack (the membership layer is TCP's).
 	Bootstrap *Bootstrap
 }
 
@@ -152,15 +144,8 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("live: Config.Env is nil")
 	}
 	pop := cfg.Population
-	switch {
-	case pop == nil && cfg.Agents == nil:
+	if pop == nil {
 		return nil, fmt.Errorf("live: Config.Population is nil (build one with NewAgentPopulation or NewColumnarPopulation)")
-	case pop == nil:
-		// Deprecated construction path: identical to handing the same
-		// slice to NewAgentPopulation yourself.
-		pop = NewAgentPopulation(cfg.Agents)
-	case cfg.Agents != nil:
-		return nil, fmt.Errorf("live: set Config.Population or the deprecated Config.Agents, not both")
 	}
 	partial := cfg.Span != (Span{})
 	if partial {
@@ -206,7 +191,7 @@ func New(cfg Config) (*Engine, error) {
 				cfg.Bootstrap.Total, cfg.Env.Size())
 		}
 		if _, ok := transport.AsTCP(cfg.Transport); !ok {
-			return nil, fmt.Errorf("live: Bootstrap needs a TCP transport (got %T); datagram transports exchange addresses out of band", cfg.Transport)
+			return nil, fmt.Errorf("live: Bootstrap needs a TCP transport (got %T); the membership layer is TCP's", cfg.Transport)
 		}
 	}
 	e := &Engine{
@@ -229,9 +214,7 @@ func New(cfg Config) (*Engine, error) {
 // default channel transport when Config.Transport was nil).
 func (e *Engine) Transport() transport.Transport { return e.tr }
 
-// Population returns the host-state backend the engine drives. A
-// deprecated Config.Agents construction yields the *AgentPopulation
-// shim wrapping exactly that slice.
+// Population returns the host-state backend the engine drives.
 func (e *Engine) Population() Population { return e.pop }
 
 // Sent returns the number of messages successfully enqueued, both

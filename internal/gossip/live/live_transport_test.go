@@ -41,23 +41,18 @@ func meanOf(t *testing.T, ests []float64) float64 {
 	return mean / float64(len(ests))
 }
 
-// TestLivePushSumOverUDPWithLossConverges is the tentpole integration
-// contract: Push-Sum at N=256 with every cross-host message traveling
-// as a wire-encoded datagram through real loopback sockets (four host
-// groups, four sockets) AND 20% injected loss still converges to the
-// true average within the live engine's usual tolerance.
-func TestLivePushSumOverUDPWithLossConverges(t *testing.T) {
+// TestLivePushSumWithLossConverges is the loss integration contract:
+// Push-Sum at N=256 with 20% of cross-host messages dropped by the
+// seeded injector — each loss an independent per-message draw over the
+// in-process transport — still converges to the true average within
+// the live engine's usual tolerance.
+func TestLivePushSumWithLossConverges(t *testing.T) {
 	const n = 256
 	u := env.NewUniform(n)
 	agents, truth := pushSumAgents(n)
-	udp, err := transport.NewUDPLoopback(n, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer udp.Close()
 	e, err := New(Config{
-		Env: u, Agents: agents, Model: gossip.Push, Seed: 11, Ticks: 80,
-		Transport: &transport.Lossy{T: udp, P: 0.2, Seed: 12},
+		Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 11, Ticks: 80,
+		Transport: &transport.Lossy{T: transport.NewChannel(n, 0), P: 0.2, Seed: 12},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,14 +73,46 @@ func TestLivePushSumOverUDPWithLossConverges(t *testing.T) {
 	t.Logf("mean %.2f truth %.2f sent %d dropped %d", mean, truth, e.Sent(), e.Dropped())
 }
 
-// TestLiveSketchResetOverUDPConverges runs the paper's dynamic
-// counting protocol over the UDP transport: the RLE counter matrices
+// TestLivePushSumOverTCPConverges is the wire half of the same
+// contract: every cross-host message travels as a wire-encoded frame
+// through real loopback sockets (four host groups, four listeners),
+// and the population converges.
+func TestLivePushSumOverTCPConverges(t *testing.T) {
+	const n = 256
+	agents, truth := pushSumAgents(n)
+	tcp, err := transport.NewTCPLoopback(n, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	e, err := New(Config{
+		Env: env.NewUniform(n), Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 11, Ticks: 80,
+		Transport: tcp, TickEvery: tickPace(), Workers: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	mean := meanOf(t, e.Estimates())
+	if math.Abs(mean-truth) > 0.2*truth {
+		t.Errorf("mean estimate %v, want ≈ %v", mean, truth)
+	}
+	if tcp.Sent() == 0 {
+		t.Error("no messages crossed the sockets")
+	}
+	t.Logf("mean %.2f truth %.2f sent %d dropped %d", mean, truth, e.Sent(), e.Dropped())
+}
+
+// TestLiveSketchResetOverTCPConverges runs the paper's dynamic
+// counting protocol over the TCP transport: the RLE counter matrices
 // survive the wire and the population count converges.
-func TestLiveSketchResetOverUDPConverges(t *testing.T) {
+func TestLiveSketchResetOverTCPConverges(t *testing.T) {
 	const n = 128
 	u := env.NewUniform(n)
 	agents := make([]gossip.Agent, n)
-	// A 32×16 sketch (±14% expected error) keeps the per-tick datagram
+	// A 32×16 sketch (±14% expected error) keeps the per-tick frame
 	// volume low enough that the socket readers stay ahead of the
 	// senders on a small CI runner; the protocol code path is identical
 	// to the paper's 64×24.
@@ -95,25 +122,19 @@ func TestLiveSketchResetOverUDPConverges(t *testing.T) {
 			Params: params, Identifiers: 1,
 		})
 	}
-	udp, err := transport.NewUDPLoopback(n, 2, 0)
+	tcp, err := transport.NewTCPLoopback(n, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer udp.Close()
+	defer tcp.Close()
 	// Count-Sketch-Reset's age cutoffs assume the population iterates
 	// at loosely equal rates, so the hosts are paced in wall-clock
 	// time — exactly what a radio duty cycle provides in deployment.
 	// Sharded workers keep the goroutine count low enough that the
-	// socket readers get scheduled even on a single-core runner; the
-	// race detector multiplies decode cost, so the duty cycle
-	// stretches with it.
-	pace := 4 * time.Millisecond
-	if raceEnabled {
-		pace = 20 * time.Millisecond
-	}
+	// socket readers get scheduled even on a single-core runner.
 	e, err := New(Config{
-		Env: u, Agents: agents, Model: gossip.Push, Seed: 21, Ticks: 40,
-		Transport: udp, TickEvery: pace, Workers: 4,
+		Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 21, Ticks: 40,
+		Transport: tcp, TickEvery: tickPace(), Workers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,17 +148,18 @@ func TestLiveSketchResetOverUDPConverges(t *testing.T) {
 	}
 }
 
-// TestLiveSpanEnginesOverUDPConverge splits one 256-host population
-// across two engines, each owning half through its own UDP transport —
-// the in-test model of the two-process examples/live_udp demo,
-// including the bind-then-exchange-addresses handshake.
-func TestLiveSpanEnginesOverUDPConverge(t *testing.T) {
+// TestLiveSpanEnginesOverTCPConverge splits one 256-host population
+// across two engines, each owning half through its own TCP transport,
+// with the listen addresses exchanged directly instead of through the
+// bootstrap (TestLiveBootstrappedSpanEnginesOverTCPConverge covers
+// that path).
+func TestLiveSpanEnginesOverTCPConverge(t *testing.T) {
 	const n = 256
 	groups := []transport.Group{{Lo: 0, Hi: n / 2}, {Lo: n / 2, Hi: n}}
-	mk := func(local int) *transport.UDP {
-		cfg := transport.UDPConfig{Groups: append([]transport.Group(nil), groups...), Local: []int{local}}
+	mk := func(local int) *transport.TCP {
+		cfg := transport.TCPConfig{Groups: append([]transport.Group(nil), groups...), Local: []int{local}}
 		cfg.Groups[local].Addr = "127.0.0.1:0"
-		tr, err := transport.NewUDP(cfg)
+		tr, err := transport.NewTCP(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,8 +178,8 @@ func TestLiveSpanEnginesOverUDPConverge(t *testing.T) {
 	agents, truth := pushSumAgents(n)
 	mkEngine := func(span Span, tr transport.Transport) *Engine {
 		e, err := New(Config{
-			Env: env.NewUniform(n), Agents: agents[span.Lo:span.Hi],
-			Model: gossip.Push, Seed: 31, Ticks: 80,
+			Env: env.NewUniform(n), Population: NewAgentPopulation(agents[span.Lo:span.Hi]),
+			Model: gossip.Push, Seed: 31, Ticks: 80, TickEvery: tickPace(), Workers: 2,
 			Transport: tr, Span: span,
 		})
 		if err != nil {
@@ -200,7 +222,7 @@ func TestLiveExplicitChannelTransportMatchesDefault(t *testing.T) {
 	agents, truth := pushSumAgents(n)
 	ch := transport.NewChannel(n, 0)
 	e, err := New(Config{
-		Env: u, Agents: agents, Model: gossip.Push, Seed: 1, Ticks: 60,
+		Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 1, Ticks: 60,
 		Transport: ch,
 	})
 	if err != nil {
@@ -231,7 +253,7 @@ func TestLiveCancellationReturnsCtxErrEveryShard(t *testing.T) {
 		u := env.NewUniform(n)
 		agents, _ := pushSumAgents(n)
 		e, err := New(Config{
-			Env: u, Agents: agents, Model: gossip.Push, Seed: 7,
+			Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 7,
 			Ticks: 1 << 30, Workers: workers,
 		})
 		if err != nil {
@@ -249,7 +271,7 @@ func TestLiveCancellationReturnsCtxErrEveryShard(t *testing.T) {
 	u := env.NewUniform(n)
 	agents, _ := pushSumAgents(n)
 	e, err := New(Config{
-		Env: u, Agents: agents, Model: gossip.Push, Seed: 8,
+		Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 8,
 		Ticks: 1 << 30, Workers: 4,
 	})
 	if err != nil {
@@ -272,7 +294,7 @@ func TestLiveDroppedAccountingUnderLossy(t *testing.T) {
 	agents, _ := pushSumAgents(n)
 	lt := &transport.Lossy{T: transport.NewChannel(n, 4096), P: p, Seed: 99}
 	e, err := New(Config{
-		Env: u, Agents: agents, Model: gossip.Push, Seed: 9, Ticks: 50,
+		Env: u, Population: NewAgentPopulation(agents), Model: gossip.Push, Seed: 9, Ticks: 50,
 		Transport: lt,
 	})
 	if err != nil {
@@ -300,28 +322,28 @@ func TestLiveSpanValidation(t *testing.T) {
 	agents, _ := pushSumAgents(2)
 	ch := transport.NewChannel(4, 0)
 
-	if _, err := New(Config{Env: u, Agents: agents, Ticks: 1, Span: Span{Lo: 0, Hi: 2}}); err == nil {
+	if _, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Ticks: 1, Span: Span{Lo: 0, Hi: 2}}); err == nil {
 		t.Error("Span without Transport accepted")
 	}
-	if _, err := New(Config{Env: u, Agents: agents, Ticks: 1, Transport: ch, Span: Span{Lo: 2, Hi: 6}}); err == nil {
+	if _, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Ticks: 1, Transport: ch, Span: Span{Lo: 2, Hi: 6}}); err == nil {
 		t.Error("Span beyond environment accepted")
 	}
-	if _, err := New(Config{Env: u, Agents: agents, Ticks: 1, Transport: ch, Span: Span{Lo: 1, Hi: 2}}); err == nil {
+	if _, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Ticks: 1, Transport: ch, Span: Span{Lo: 1, Hi: 2}}); err == nil {
 		t.Error("agent count != span width accepted")
 	}
 	if _, err := New(Config{
-		Env: u, Agents: agents, Ticks: 1, Transport: ch,
+		Env: u, Population: NewAgentPopulation(agents), Ticks: 1, Transport: ch,
 		Model: gossip.PushPull, Span: Span{Lo: 0, Hi: 2},
 	}); err == nil {
 		t.Error("push/pull Span accepted")
 	}
 	if _, err := New(Config{
-		Env: u, Agents: agents, Ticks: 1,
+		Env: u, Population: NewAgentPopulation(agents), Ticks: 1,
 		Transport: &transport.Lossy{T: ch, P: 2},
 	}); err == nil {
 		t.Error("invalid Lossy accepted")
 	}
-	if _, err := New(Config{Env: u, Agents: agents, Ticks: 1, Transport: ch, Span: Span{Lo: 0, Hi: 2}}); err != nil {
+	if _, err := New(Config{Env: u, Population: NewAgentPopulation(agents), Ticks: 1, Transport: ch, Span: Span{Lo: 0, Hi: 2}}); err != nil {
 		t.Errorf("valid span config rejected: %v", err)
 	}
 }

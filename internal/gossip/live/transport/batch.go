@@ -17,7 +17,7 @@ import (
 // the body beyond moving it.
 //
 // Groups partition the host population into contiguous [lo, hi)
-// ranges, mirroring the UDP transport's socket groups; BatchGroups
+// ranges, mirroring the TCP transport's listener groups; BatchGroups
 // and BatchGroup expose that layout so callers can route by
 // destination id and drain the groups they own.
 //
@@ -25,7 +25,7 @@ import (
 // is added to Sent on acceptance or to Dropped on loss, so Sent and
 // Dropped stay comparable between the classic and columnar paths (and
 // loss-rate assertions keep their meaning). A batch is carried by one
-// datagram, so one loss event drops all its messages at once — the
+// frame, so one loss event drops all its messages at once — the
 // per-message loss *rate* is preserved in expectation, the
 // independence of individual losses is not (real radios burst-lose
 // the same way).
@@ -73,16 +73,15 @@ type batchItem struct {
 	msgs int
 }
 
-// maxBatchHeader is the worst-case wire.Header size a batch datagram
+// maxBatchHeader is the worst-case wire.Header size a batch frame
 // spends on framing: version + kind bytes plus three maximal uvarints.
 const maxBatchHeader = 2 + 3*5
 
-// maxUDPPayload is the largest payload a single IPv4 UDP datagram can
-// carry: 65535 minus the 8-byte UDP and 20-byte IP headers. Writes
-// above it fail with EMSGSIZE even on loopback, so every batch plane
-// caps its bodies here — a full-size batch must be one *sendable*
-// datagram, not merely one encodable buffer.
-const maxUDPPayload = 65507
+// maxBatchPayload caps every batch plane's header plus body at the
+// largest payload one IPv4 datagram can carry (65535 minus 8 UDP and
+// 20 IP header bytes): a 64 KiB-class frame keeps each shard wave a
+// few dozen batches, and chan and tcp runs batch identically.
+const maxBatchPayload = 65507
 
 // ---- Channel batch plane ----
 
@@ -95,9 +94,9 @@ func (c *Channel) BatchGroup(g int) (lo, hi gossip.NodeID) {
 }
 
 // MaxBatchBody implements Batcher. The in-process transport has no
-// physical datagram ceiling; it mirrors the UDP ceiling so chan and
-// udp runs batch identically.
-func (c *Channel) MaxBatchBody() int { return maxUDPPayload - maxBatchHeader }
+// physical ceiling; it uses the shared one so chan and tcp runs batch
+// identically.
+func (c *Channel) MaxBatchBody() int { return maxBatchPayload - maxBatchHeader }
 
 // SendBatch implements Batcher: copy the body into a pooled buffer and
 // enqueue it on the group's batch queue, non-blocking; overflow drops
@@ -162,7 +161,7 @@ func (l *Lossy) BatchGroup(g int) (lo, hi gossip.NodeID) { return l.batcher().Ba
 func (l *Lossy) MaxBatchBody() int { return l.batcher().MaxBatchBody() }
 
 // SendBatch implements Batcher: one loss draw per batch — a batch is
-// one datagram, and the injector models datagram loss — so all msgs
+// one frame, and the injector models per-frame loss — so all msgs
 // messages drop (or survive) together; the per-message drop *rate*
 // still converges to P because the draw is independent of batch size.
 func (l *Lossy) SendBatch(group, tick, msgs int, body []byte) bool {
@@ -192,7 +191,7 @@ func (l *Lossy) SendBatch(group, tick, msgs int, body []byte) bool {
 	l.mu.Unlock()
 	if drop {
 		l.dropped.Add(int64(msgs))
-		// On a stream transport the lost "datagram" is a failed link:
+		// On a stream transport the lost frame is a failed link:
 		// sever the connection toward the destination group.
 		lo, _ := inner.BatchGroup(group)
 		l.killLink(lo)
@@ -217,7 +216,6 @@ func (l *Lossy) DrainBatch(group int, fn func(body []byte)) { l.batcher().DrainB
 // Compile-time wiring of the batch planes.
 var (
 	_ Batcher = (*Channel)(nil)
-	_ Batcher = (*UDP)(nil)
 	_ Batcher = (*TCP)(nil)
 	_ Batcher = (*Lossy)(nil)
 )

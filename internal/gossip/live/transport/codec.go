@@ -16,7 +16,7 @@ import (
 	"dynagg/internal/wire"
 )
 
-// Protocol kind tags carried in the envelope header so a datagram is
+// Protocol kind tags carried in the envelope header so a frame is
 // self-describing: the receiver needs no out-of-band agreement about
 // which protocol is running to decode (or reject) a payload.
 const (
@@ -26,10 +26,10 @@ const (
 	kindResetCounters
 	kindSketchBits
 	kindCandidates
-	// kindColumnarBatch tags a Batcher datagram: the header's To is
-	// the destination group index (on TCP: the destination group's Lo
-	// host id, which stays stable while bootstrap is still inserting
-	// groups and shifting indices), From the encoded message count, and
+	// kindColumnarBatch tags a Batcher frame: the header's To is the
+	// destination group's Lo host id (which stays stable while
+	// bootstrap is still inserting groups and shifting indices), From
+	// the encoded message count, and
 	// the body an opaque run of protocol-framed records the columnar
 	// live path decodes straight into state columns.
 	kindColumnarBatch
@@ -41,18 +41,18 @@ const (
 	kindMembership
 	// kindMultiBundle tags a multi-protocol bundle: named
 	// Push-Sum-Revert masses plus an optional Count-Sketch-Reset
-	// counter matrix, the paper's Figure 7 deployment in one datagram.
+	// counter matrix, the paper's Figure 7 deployment in one frame.
 	kindMultiBundle
 )
 
-// maxCounterElements bounds the counter matrices a datagram may carry
+// maxCounterElements bounds the counter matrices a frame may carry
 // (the paper's sketches are 64×24 = 1536 counters; this leaves two
-// orders of magnitude of headroom without letting a hostile datagram
+// orders of magnitude of headroom without letting a hostile frame
 // size an allocation).
 const maxCounterElements = 1 << 16
 
 // maxBundleAggregates and maxAggregateNameLen bound a multi bundle: a
-// hostile datagram must not be able to size an unbounded map or string
+// hostile frame must not be able to size an unbounded map or string
 // allocation. Real deployments carry a handful of short names.
 const (
 	maxBundleAggregates = 1 << 10
@@ -167,7 +167,7 @@ func appendCandidates(dst []byte, cands []extremes.Candidate) []byte {
 	return wire.AppendCandidates(dst, wc)
 }
 
-// decodeEnvelope parses one datagram into its header and a payload
+// decodeEnvelope parses one frame into its header and a payload
 // value of the exact Go type the protocol's Receive expects from Emit.
 func decodeEnvelope(src []byte) (wire.Header, any, error) {
 	h, rest, err := wire.DecodeHeader(src)
@@ -177,8 +177,8 @@ func decodeEnvelope(src []byte) (wire.Header, any, error) {
 	return decodePayload(h, rest)
 }
 
-// decodePayload decodes the post-header bytes of a per-host datagram
-// (the reader peels the header first so batch datagrams can bypass
+// decodePayload decodes the post-header bytes of a per-host frame
+// (the reader peels the header first so batch frames can bypass
 // payload boxing entirely).
 func decodePayload(h wire.Header, rest []byte) (wire.Header, any, error) {
 	switch h.Kind {
@@ -211,7 +211,7 @@ func decodePayload(h wire.Header, rest []byte) (wire.Header, any, error) {
 		// Params.Validate (the authority on sketch shape) sees the value.
 		levels, n := binary.Uvarint(rest)
 		if n <= 0 || levels > sketch.MaxLevels {
-			return wire.Header{}, nil, fmt.Errorf("transport: sketch datagram: bad level count")
+			return wire.Header{}, nil, fmt.Errorf("transport: sketch frame: bad level count")
 		}
 		bits, _, err := wire.DecodeSketchBits(rest[n:])
 		if err != nil {
@@ -219,7 +219,7 @@ func decodePayload(h wire.Header, rest []byte) (wire.Header, any, error) {
 		}
 		params := sketch.Params{Bins: len(bits), Levels: int(levels)}
 		if err := params.Validate(); err != nil {
-			return wire.Header{}, nil, fmt.Errorf("transport: sketch datagram: %w", err)
+			return wire.Header{}, nil, fmt.Errorf("transport: sketch frame: %w", err)
 		}
 		s := sketch.New(params)
 		s.LoadBits(bits)

@@ -1,21 +1,16 @@
-// Option-style construction. Transports used to be assembled by
-// struct-literal field poking (`&Lossy{T: udp, P: 0.2, Seed: 9}`,
-// `NewUDP(UDPConfig{...})`); the option constructors below compose the
-// same knobs — group layout, queue depths, loss, delay, WAN profiles —
-// uniformly, so call sites read as a configuration sentence:
+// Option-style construction: the option constructors below compose the
+// transport knobs — group layout, queue depths, framing, reconnect
+// pacing, loss, delay, WAN profiles — uniformly, so call sites read as
+// a configuration sentence:
 //
-//	tr, err := transport.NewUDP(
+//	tr, err := transport.NewTCP(
 //		transport.WithLoopbackGroups(1_000_000, 8),
-//		transport.WithReadBuffer(4<<20))
+//		transport.WithQueueCapacity(1024))
 //	lt, err := transport.NewLossy(tr, transport.WithLoss(0.2), transport.WithLossSeed(12))
 //
-// The knobs both socket transports share — group layout, locality,
-// queue capacity — are Options, accepted by NewUDP and NewTCP alike;
-// medium-specific knobs (SO_RCVBUF, datagram ceilings, stream framing
-// and reconnect pacing) stay UDPOption or TCPOption. A full UDPConfig
-// still satisfies UDPOption (field-wise overlay), so pre-options call
-// sites — NewUDP(cfg) — keep compiling unchanged, and the Lossy struct
-// fields stay exported for the same reason.
+// A full TCPConfig still satisfies TCPOption (field-wise overlay), so
+// pre-options call sites — NewTCP(cfg) — keep compiling unchanged, and
+// the Lossy struct fields stay exported for the same reason.
 package transport
 
 import (
@@ -25,60 +20,14 @@ import (
 	"dynagg/internal/gossip"
 )
 
-// UDPOption configures NewUDP. Options apply in argument order; later
+// TCPOption configures NewTCP. Options apply in argument order; later
 // options override earlier ones.
-type UDPOption interface{ applyUDP(*UDPConfig) }
-
-// TCPOption configures NewTCP, with the same ordering rule.
 type TCPOption interface{ applyTCP(*TCPConfig) }
-
-// Option is a knob both socket transports understand — group layout,
-// locality, queue capacity — so one option list can assemble either
-// medium.
-type Option interface {
-	UDPOption
-	TCPOption
-}
-
-// udpOptionFunc adapts a function to UDPOption.
-type udpOptionFunc func(*UDPConfig)
-
-func (f udpOptionFunc) applyUDP(c *UDPConfig) { f(c) }
 
 // tcpOptionFunc adapts a function to TCPOption.
 type tcpOptionFunc func(*TCPConfig)
 
 func (f tcpOptionFunc) applyTCP(c *TCPConfig) { f(c) }
-
-// dualOption adapts a pair of functions to Option.
-type dualOption struct {
-	udp func(*UDPConfig)
-	tcp func(*TCPConfig)
-}
-
-func (o dualOption) applyUDP(c *UDPConfig) { o.udp(c) }
-func (o dualOption) applyTCP(c *TCPConfig) { o.tcp(c) }
-
-// applyUDP lets a complete UDPConfig act as one big option: every
-// non-zero field overlays the accumulated configuration. This is the
-// compatibility bridge for pre-options call sites.
-func (c UDPConfig) applyUDP(dst *UDPConfig) {
-	if c.Groups != nil {
-		dst.Groups = c.Groups
-	}
-	if c.Local != nil {
-		dst.Local = c.Local
-	}
-	if c.QueueCapacity != 0 {
-		dst.QueueCapacity = c.QueueCapacity
-	}
-	if c.ReadBuffer != 0 {
-		dst.ReadBuffer = c.ReadBuffer
-	}
-	if c.MaxDatagram != 0 {
-		dst.MaxDatagram = c.MaxDatagram
-	}
-}
 
 // applyTCP gives TCPConfig the same one-big-option role for NewTCP.
 func (c TCPConfig) applyTCP(dst *TCPConfig) {
@@ -107,75 +56,43 @@ func (c TCPConfig) applyTCP(dst *TCPConfig) {
 
 // WithGroups sets the population partition (non-empty, non-overlapping,
 // sorted by Lo), replacing any earlier layout.
-func WithGroups(groups ...Group) Option {
-	return dualOption{
-		udp: func(c *UDPConfig) { c.Groups = groups },
-		tcp: func(c *TCPConfig) { c.Groups = groups },
-	}
+func WithGroups(groups ...Group) TCPOption {
+	return tcpOptionFunc(func(c *TCPConfig) { c.Groups = groups })
 }
 
-// WithLocal lists the group indices this process binds sockets for.
-func WithLocal(local ...int) Option {
-	return dualOption{
-		udp: func(c *UDPConfig) { c.Local = local },
-		tcp: func(c *TCPConfig) { c.Local = local },
-	}
+// WithLocal lists the group indices this process listens for.
+func WithLocal(local ...int) TCPOption {
+	return tcpOptionFunc(func(c *TCPConfig) { c.Local = local })
 }
 
-// loopbackLayout lays hosts [0, hosts) out as `groups` contiguous
-// local groups on ephemeral loopback ports.
-func loopbackLayout(hosts, groups int) ([]Group, []int) {
+// WithLoopbackGroups lays hosts [0, hosts) out as `groups` contiguous
+// local groups (clamped to [1, hosts]) on ephemeral loopback ports —
+// the single-process layout NewTCPLoopback builds, as a composable
+// option.
+func WithLoopbackGroups(hosts, groups int) TCPOption {
 	if groups <= 0 {
 		groups = 1
 	}
 	if groups > hosts {
 		groups = hosts
 	}
-	gs := make([]Group, 0, groups)
-	local := make([]int, 0, groups)
-	for g := 0; g < groups; g++ {
-		gs = append(gs, Group{
-			Lo:   gossip.NodeID(g * hosts / groups),
-			Hi:   gossip.NodeID((g + 1) * hosts / groups),
-			Addr: "127.0.0.1:0",
-		})
-		local = append(local, g)
-	}
-	return gs, local
+	return tcpOptionFunc(func(c *TCPConfig) {
+		c.Groups, c.Local = make([]Group, 0, groups), make([]int, 0, groups)
+		for g := 0; g < groups; g++ {
+			c.Groups = append(c.Groups, Group{
+				Lo:   gossip.NodeID(g * hosts / groups),
+				Hi:   gossip.NodeID((g + 1) * hosts / groups),
+				Addr: "127.0.0.1:0",
+			})
+			c.Local = append(c.Local, g)
+		}
+	})
 }
 
-// WithLoopbackGroups lays hosts [0, hosts) out as `groups` contiguous
-// local groups on ephemeral loopback ports — the single-process layout
-// NewUDPLoopback has always built, as a composable option that NewTCP
-// accepts too.
-func WithLoopbackGroups(hosts, groups int) Option {
-	return dualOption{
-		udp: func(c *UDPConfig) { c.Groups, c.Local = loopbackLayout(hosts, groups) },
-		tcp: func(c *TCPConfig) { c.Groups, c.Local = loopbackLayout(hosts, groups) },
-	}
-}
-
-// WithQueueCapacity bounds each local host's (and group's) receive
-// queue — and, for the TCP transport, each peer group's send queue;
-// 0 keeps DefaultQueue.
-func WithQueueCapacity(n int) Option {
-	return dualOption{
-		udp: func(c *UDPConfig) { c.QueueCapacity = n },
-		tcp: func(c *TCPConfig) { c.QueueCapacity = n },
-	}
-}
-
-// WithReadBuffer sets SO_RCVBUF on each local socket. Million-host
-// columnar runs want several MiB here: a whole shard's wave lands on
-// one socket between drains.
-func WithReadBuffer(n int) UDPOption {
-	return udpOptionFunc(func(c *UDPConfig) { c.ReadBuffer = n })
-}
-
-// WithMaxDatagram bounds encoded datagram size; 0 keeps the 64 KiB
-// default.
-func WithMaxDatagram(n int) UDPOption {
-	return udpOptionFunc(func(c *UDPConfig) { c.MaxDatagram = n })
+// WithQueueCapacity bounds each local host's and group's receive queue
+// and each peer group's send queue; 0 keeps DefaultQueue.
+func WithQueueCapacity(n int) TCPOption {
+	return tcpOptionFunc(func(c *TCPConfig) { c.QueueCapacity = n })
 }
 
 // WithMaxFrame bounds the TCP transport's frame size, send and

@@ -5,16 +5,16 @@ import (
 	"time"
 )
 
-// TestNewUDPOptionsMatchLoopbackHelper pins the option-style
+// TestNewTCPOptionsMatchLoopbackHelper pins the option-style
 // constructor against the loopback helper it generalizes: the same
 // group layout, every group bound locally.
-func TestNewUDPOptionsMatchLoopbackHelper(t *testing.T) {
-	a, err := NewUDPLoopback(100, 3, 0)
+func TestNewTCPOptionsMatchLoopbackHelper(t *testing.T) {
+	a, err := NewTCPLoopback(100, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := NewUDP(WithLoopbackGroups(100, 3))
+	b, err := NewTCP(WithLoopbackGroups(100, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,42 +34,45 @@ func TestNewUDPOptionsMatchLoopbackHelper(t *testing.T) {
 	}
 }
 
-// TestNewUDPAcceptsConfigAsOption pins the compatibility bridge: a
-// whole UDPConfig value is itself an option, so pre-redesign call
-// sites `NewUDP(cfg)` keep compiling and behaving.
-func TestNewUDPAcceptsConfigAsOption(t *testing.T) {
-	cfg := UDPConfig{
+// TestNewTCPAcceptsConfigAsOption pins the compatibility bridge: a
+// whole TCPConfig value is itself an option, so pre-options call sites
+// `NewTCP(cfg)` keep compiling and behaving.
+func TestNewTCPAcceptsConfigAsOption(t *testing.T) {
+	cfg := TCPConfig{
 		Groups: []Group{{Lo: 0, Hi: 8, Addr: "127.0.0.1:0"}, {Lo: 8, Hi: 16, Addr: "127.0.0.1:0"}},
 		Local:  []int{0, 1},
 	}
-	u, err := NewUDP(cfg)
+	a, err := NewTCP(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer u.Close()
-	if got := u.BatchGroups(); got != 2 {
+	defer a.Close()
+	if got := a.BatchGroups(); got != 2 {
 		t.Fatalf("BatchGroups = %d, want 2", got)
 	}
 	// Options compose over a config base: an explicit queue capacity
 	// layered on top must not disturb the group layout.
-	v, err := NewUDP(cfg, WithQueueCapacity(32))
+	b, err := NewTCP(cfg, WithQueueCapacity(32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v.Close()
-	if lo, hi := v.BatchGroup(1); lo != 8 || hi != 16 {
+	defer b.Close()
+	if lo, hi := b.BatchGroup(1); lo != 8 || hi != 16 {
 		t.Errorf("BatchGroup(1) = [%d,%d), want [8,16)", lo, hi)
 	}
 }
 
-// TestNewUDPValidation pins the constructor's guard rails through the
+// TestNewTCPValidation pins the constructor's guard rails through the
 // option path.
-func TestNewUDPValidation(t *testing.T) {
-	if _, err := NewUDP(); err == nil {
-		t.Error("NewUDP with no groups accepted")
+func TestNewTCPValidation(t *testing.T) {
+	if _, err := NewTCP(); err == nil {
+		t.Error("NewTCP with no groups accepted")
 	}
-	if _, err := NewUDP(WithGroups(Group{Lo: 0, Hi: 8})); err == nil {
-		t.Error("NewUDP with no local group accepted")
+	if _, err := NewTCP(WithGroups(Group{Lo: 0, Hi: 8})); err == nil {
+		t.Error("NewTCP with no local group accepted")
+	}
+	if _, err := NewTCPLoopback(0, 1, 0); err == nil {
+		t.Error("NewTCPLoopback with no hosts accepted")
 	}
 }
 

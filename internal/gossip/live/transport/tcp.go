@@ -45,11 +45,11 @@ const (
 var ErrSpanConflict = errors.New("transport: span conflict")
 
 // LinkKiller is the failure-injection hook a connection-oriented
-// transport exposes: where a datagram transport loses one message, a
-// stream loses the *link*. Lossy uses it to translate its drop draws —
-// a draw that would discard a datagram instead kills the connection
-// carrying the stream, and reconnect-with-backoff models the outage
-// window.
+// transport exposes: where a message-at-a-time medium loses one
+// message, a stream loses the *link*. Lossy uses it to translate its
+// drop draws — a draw that would discard one message instead kills the
+// connection carrying the stream, and reconnect-with-backoff models
+// the outage window.
 type LinkKiller interface {
 	// KillLink severs the cached connection toward the group owning
 	// host `to`, reporting whether a live connection was actually cut.
@@ -65,11 +65,27 @@ type Unwrapper interface {
 	Unwrap() Transport
 }
 
+// Group is one contiguous slice [Lo, Hi) of the host population that
+// shares a single listener — the paper's picture of many sensors
+// behind one radio. A process listens for the groups it owns and
+// addresses the rest by Addr.
+type Group struct {
+	Lo, Hi gossip.NodeID
+	// Addr is the group's TCP address. For a local group it is the
+	// bind address ("127.0.0.1:0" picks an ephemeral port; read the
+	// outcome with GroupAddr). For a remote group it may be left empty
+	// at construction and supplied later via SetGroupAddr or
+	// RegisterGroup — messages to a group with no known address are
+	// dropped, exactly like transmissions to a host that is out of
+	// range.
+	Addr string
+}
+
 // TCPConfig assembles a TCP transport.
 type TCPConfig struct {
-	// Groups partitions the population, exactly as for UDP: non-empty,
-	// non-overlapping, sorted by Lo. Under bootstrap a process starts
-	// with only its own group and learns the rest via RegisterGroup.
+	// Groups partitions the population: non-empty, non-overlapping,
+	// sorted by Lo. Under bootstrap a process starts with only its own
+	// group and learns the rest via RegisterGroup.
 	Groups []Group
 	// Local lists the indices into Groups this process listens for.
 	Local []int
@@ -91,11 +107,12 @@ type TCPConfig struct {
 	BackoffMax time.Duration
 }
 
-// TCP carries the same self-describing wire envelopes as UDP — and the
-// same columnar batch frames — over reliable streams: each message is
-// one uvarint-length-prefixed frame (see internal/wire frame.go), so
-// the byte stream recovers the datagram boundaries the kernel no
-// longer draws.
+// TCP carries self-describing wire envelopes — the internal/wire
+// binary encodings behind the paper's §IV-B bandwidth argument,
+// prefixed with a header (protocol kind, destination, sender, tick) —
+// and columnar batch frames over reliable streams: each message is one
+// uvarint-length-prefixed frame (see internal/wire frame.go), so the
+// byte stream keeps the message boundaries.
 //
 // Connections are cached per peer group and dialed lazily by a
 // dedicated writer goroutine per group, which coalesces every queued
@@ -107,8 +124,8 @@ type TCPConfig struct {
 // the reconnect window, not a silent per-datagram coin flip, as the
 // outage.
 //
-// Unlike UDP, the group table is mutable: RegisterGroup (fed by the
-// Announce bootstrap handshake) inserts peer groups discovered at run
+// The group table is mutable: RegisterGroup (fed by the Announce
+// bootstrap handshake) inserts peer groups discovered at run
 // time. Registration must finish before a Population binds — batch
 // group indices shift as groups are inserted.
 type TCP struct {
@@ -125,8 +142,10 @@ type TCP struct {
 	mu       sync.Mutex
 	accepted map[net.Conn]struct{}
 
-	// hostQ is the lazily-built per-host inbox plane (same rationale
-	// as UDP.hostQ: columnar runs never pay for it).
+	// hostQ is the per-host inbox plane, built lazily on first use
+	// (reader delivery or Drain): a million-host columnar run moves
+	// everything over the batch plane and must not pay for a buffered
+	// channel per host.
 	hostQ     atomic.Pointer[map[gossip.NodeID]chan any]
 	hostQOnce sync.Once
 
@@ -219,9 +238,8 @@ type outFrame struct {
 	msgs int
 }
 
-// NewTCP assembles the configuration from options — Options shared
-// with NewUDP (layout, locality, queues) and TCPOptions for the
-// stream-specific knobs; a full TCPConfig works as one big option:
+// NewTCP assembles the configuration from options; a full TCPConfig
+// works as one big option:
 //
 //	NewTCP(cfg)
 //	NewTCP(transport.WithLoopbackGroups(1024, 8), transport.WithMaxFrame(1<<16))
@@ -238,8 +256,10 @@ func NewTCP(opts ...TCPOption) (*TCP, error) {
 	return newTCP(cfg)
 }
 
-// NewTCPLoopback is the single-process convenience constructor,
-// mirroring NewUDPLoopback.
+// NewTCPLoopback is the single-process convenience constructor: hosts
+// [0, hosts) split into `groups` contiguous groups, every group local,
+// each listening on an ephemeral loopback port. All cross-host traffic
+// then travels through real kernel sockets.
 func NewTCPLoopback(hosts, groups, queueCapacity int) (*TCP, error) {
 	if hosts <= 0 {
 		return nil, fmt.Errorf("transport: hosts must be positive, got %d", hosts)
@@ -782,8 +802,7 @@ func (p *tcpPeer) run() {
 			conn.SetWriteDeadline(time.Now().Add(tcpWriteDeadline))
 			if err := bw.Flush(); err != nil {
 				// Frames buffered since the last good flush die with
-				// the connection after being counted Sent — the same
-				// sent-then-lost asymmetry UDP's kernel buffers have.
+				// the connection after being counted Sent (see Sent).
 				closeConn()
 			}
 		}
@@ -812,8 +831,8 @@ func (t *TCP) killPeer(p *tcpPeer) bool {
 }
 
 // Kills returns the number of connections severed by KillLink — the
-// link-failure count a Lossy-over-TCP run uses where a datagram run
-// would read drop counts.
+// link-failure count a Lossy-over-TCP run uses where a Lossy-over-
+// Channel run would read drop counts.
 func (t *TCP) Kills() int64 { return t.kills.Load() }
 
 // Reconnects returns the number of times a peer writer successfully
@@ -951,9 +970,9 @@ func (t *TCP) handleFrame(c net.Conn, frame []byte) {
 	}
 	switch h.Kind {
 	case kindColumnarBatch:
-		// On TCP the batch header's To carries the destination group's
-		// Lo host id — stable across bootstrap insertions, unlike the
-		// table index UDP uses.
+		// The batch header's To carries the destination group's Lo
+		// host id — stable across bootstrap insertions, unlike a table
+		// index.
 		l := t.locals[gossip.NodeID(h.To)]
 		if l == nil {
 			t.dropped.Add(int64(h.From))
@@ -1072,10 +1091,10 @@ func (t *TCP) BatchGroup(g int) (lo, hi gossip.NodeID) {
 	return gr.Lo, gr.Hi
 }
 
-// MaxBatchBody implements Batcher: the UDP ceiling (so chan, udp, and
-// tcp runs batch identically) unless MaxFrame is tighter.
+// MaxBatchBody implements Batcher: the shared batch ceiling (so chan
+// and tcp runs batch identically) unless MaxFrame is tighter.
 func (t *TCP) MaxBatchBody() int {
-	m := maxUDPPayload - maxBatchHeader
+	m := maxBatchPayload - maxBatchHeader
 	if f := t.cfg.MaxFrame - maxBatchHeader; f < m {
 		m = f
 	}
@@ -1125,8 +1144,10 @@ func (t *TCP) DrainBatch(group int, fn func(body []byte)) {
 
 // ---- per-host receive plane ----
 
-// hostQueues returns the per-host inbox map, building it lazily (see
-// UDP.hostQueues for the rationale).
+// hostQueues returns the per-host inbox map — one buffered channel per
+// local-group host — building it on first use. Classic engines hit
+// Drain on their first tick, so for them the plane exists microseconds
+// into Run (a frame landing even before that is built on arrival).
 func (t *TCP) hostQueues() map[gossip.NodeID]chan any {
 	if m := t.hostQ.Load(); m != nil {
 		return *m
@@ -1159,10 +1180,12 @@ func (t *TCP) Drain(id gossip.NodeID, fn func(payload any)) {
 	}
 }
 
-// Sent implements Transport: frames handed to the kernel. As with UDP,
-// "sent" does not imply delivery — a frame can be counted Sent and
-// then die with its connection before the flush, or be counted again
-// in Dropped when the receiver's queue sheds it.
+// Sent implements Transport: frames handed to the kernel. "Sent" does
+// not imply delivery — a frame can be counted Sent and then die with
+// its connection before the flush, or be counted again in Dropped when
+// the receiver's queue sheds it, so Sent+Dropped can exceed the number
+// of Send calls. That is the radio's two-station bookkeeping (see the
+// package doc).
 func (t *TCP) Sent() int64 { return t.sent.Load() }
 
 // Dropped implements Transport: encode failures, unroutable or

@@ -13,14 +13,15 @@ import (
 	"dynagg/internal/protocol/moments"
 	"dynagg/internal/protocol/pushsum"
 	"dynagg/internal/protocol/pushsumrevert"
+	"dynagg/internal/protocol/sketchreset"
 	"dynagg/internal/sketch"
 	"dynagg/internal/wire"
 )
 
 // tcpPair builds two TCP transports over one 8-host population, each
-// owning one group, with peer addresses exchanged — the stream mirror
-// of TestUDPTwoTransportsHandshake's setup. Extra options apply to
-// both sides.
+// owning one group, with peer addresses exchanged — the in-test model
+// of two processes that learned each other's listen addresses. Extra
+// options apply to both sides.
 func tcpPair(t *testing.T, opts ...TCPOption) (a, b *TCP) {
 	t.Helper()
 	groups := []Group{{Lo: 0, Hi: 4}, {Lo: 4, Hi: 8}}
@@ -43,33 +44,54 @@ func tcpPair(t *testing.T, opts ...TCPOption) (a, b *TCP) {
 	return a, b
 }
 
-// sendUntilDelivered retries Send on tx until one payload lands at
-// `to` on rx — the polling a transport with reconnect windows needs
-// where a lossless one could assert a single Send.
-func sendUntilDelivered(t *testing.T, tx, rx Transport, from, to gossip.NodeID, payload any) any {
+// drainOne polls Drain until one payload arrives (socket delivery is
+// asynchronous) or the deadline passes.
+func drainOne(t *testing.T, tr Transport, id gossip.NodeID) any {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		var got any
+		n := 0
+		tr.Drain(id, func(p any) { got = p; n++ })
+		if n > 0 {
+			if n != 1 {
+				t.Fatalf("expected 1 payload, drained %d", n)
+			}
+			return got
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("no payload for host %d within deadline", id)
+	return nil
+}
+
+// sendUntilDelivered resends payload (a comparable value) on tx until
+// a copy equal to it lands at `to` on rx — the polling a transport
+// with reconnect windows needs where a lossless one could assert a
+// single Send. Other payloads drained meanwhile — stale resends of an
+// earlier call still in flight — are discarded, not mistaken for this
+// one.
+func sendUntilDelivered(t *testing.T, tx, rx Transport, from, to gossip.NodeID, payload any) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		tx.Send(from, to, 0, payload)
-		var got any
-		n := 0
-		rx.Drain(to, func(p any) { got = p; n++ })
-		if n > 0 {
-			return got
+		found := false
+		rx.Drain(to, func(p any) { found = found || p == payload })
+		if found {
+			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("no payload for host %d within deadline", to)
-	return nil
+	t.Fatalf("payload %v never reached host %d within deadline", payload, to)
 }
 
-func TestTCPTransportRoundTripsEveryPayloadKind(t *testing.T) {
-	tr, err := NewTCPLoopback(8, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-
+// roundTripEveryPayloadKind sends one payload of every wire kind from
+// tx and drains it at rx, checking each decodes to its wire form.
+// route picks the (from, to) hosts of the i-th payload. It returns the
+// number of payloads sent.
+func roundTripEveryPayloadKind(t *testing.T, tx, rx Transport, route func(i int) (from, to gossip.NodeID)) int {
+	t.Helper()
 	sk := sketch.New(sketch.Params{Bins: 4, Levels: 8})
 	sk.Insert(12345)
 	payloads := []any{
@@ -78,16 +100,17 @@ func TestTCPTransportRoundTripsEveryPayloadKind(t *testing.T) {
 		pushsumrevert.Mass{W: 0.125, V: 7},
 		moments.Mass{W: 1, V: 2, Q: 4},
 		[]uint8{0, 0, 3, 255, 255, 9},
+		&sketchreset.Counters{Ages: []uint8{1, 1, 1, 254}},
 		sk,
 		[]extremes.Candidate{{Value: 9.5, Owner: 3, Age: 2}, {Value: -1, Owner: 7, Age: 0}},
+		&extremes.Table{Candidates: []extremes.Candidate{{Value: 4, Owner: 1, Age: 5}}},
 	}
 	for i, payload := range payloads {
-		to := gossip.NodeID(i % 8)
-		from := (to + 1) % 8
-		if !tr.Send(from, to, i, payload) {
+		from, to := route(i)
+		if !tx.Send(from, to, i, payload) {
 			t.Fatalf("payload %d (%T): Send failed", i, payload)
 		}
-		got := drainOne(t, tr, to)
+		got := drainOne(t, rx, to)
 		switch want := payload.(type) {
 		case pushsum.Mass:
 			if got != want {
@@ -110,6 +133,11 @@ func TestTCPTransportRoundTripsEveryPayloadKind(t *testing.T) {
 			if !ok || !bytes.Equal(g, want) {
 				t.Errorf("payload %d: got %T %v", i, got, got)
 			}
+		case *sketchreset.Counters:
+			g, ok := got.([]uint8)
+			if !ok || !bytes.Equal(g, want.Ages) {
+				t.Errorf("payload %d: got %T %v", i, got, got)
+			}
 		case *sketch.Sketch:
 			g, ok := got.(*sketch.Sketch)
 			if !ok || !g.Equal(want) {
@@ -117,20 +145,60 @@ func TestTCPTransportRoundTripsEveryPayloadKind(t *testing.T) {
 			}
 		case []extremes.Candidate:
 			g, ok := got.([]extremes.Candidate)
-			if !ok || len(g) != len(want) || g[0] != want[0] {
+			if !ok || len(g) != len(want) || g[0] != want[0] || g[1] != want[1] {
+				t.Errorf("payload %d: got %T %v", i, got, got)
+			}
+		case *extremes.Table:
+			g, ok := got.([]extremes.Candidate)
+			if !ok || len(g) != len(want.Candidates) || g[0] != want.Candidates[0] {
 				t.Errorf("payload %d: got %T %v", i, got, got)
 			}
 		}
 	}
-	// Sent is counted at the kernel hand-off in the writer goroutine,
-	// so it trails Send acceptance; everything already drained, so it
-	// only needs a moment to settle.
+	return len(payloads)
+}
+
+// waitSent polls until tr has counted want messages Sent. Sent is
+// counted at the kernel hand-off in the writer goroutine, so it trails
+// Send acceptance; once everything has been drained at the receiver it
+// only needs a moment to settle.
+func waitSent(t *testing.T, tr Transport, want int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for tr.Sent() != int64(len(payloads)) && time.Now().Before(deadline) {
+	for tr.Sent() != int64(want) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if tr.Sent() != int64(len(payloads)) {
-		t.Errorf("Sent = %d, want %d", tr.Sent(), len(payloads))
+	if tr.Sent() != int64(want) {
+		t.Errorf("Sent = %d, want %d", tr.Sent(), want)
+	}
+}
+
+func TestTCPTransportRoundTripsEveryPayloadKind(t *testing.T) {
+	tr, err := NewTCPLoopback(8, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	n := roundTripEveryPayloadKind(t, tr, tr, func(i int) (from, to gossip.NodeID) {
+		to = gossip.NodeID(i % 8)
+		return (to + 1) % 8, to
+	})
+	waitSent(t, tr, n)
+}
+
+// TestTCPPairRoundTripsEveryPayloadKind sends every payload kind
+// across two transports — the cross-process dial path — rather than
+// through one transport's own listeners.
+func TestTCPPairRoundTripsEveryPayloadKind(t *testing.T) {
+	a, b := tcpPair(t)
+	defer a.Close()
+	defer b.Close()
+	n := roundTripEveryPayloadKind(t, a, b, func(i int) (from, to gossip.NodeID) {
+		return gossip.NodeID(i % 4), gossip.NodeID(4 + i%4)
+	})
+	waitSent(t, a, n)
+	if b.Sent() != 0 || a.Dropped() != 0 {
+		t.Errorf("b sent %d, a dropped %d; want 0/0", b.Sent(), a.Dropped())
 	}
 }
 
@@ -138,12 +206,47 @@ func TestTCPTwoTransportsHandshake(t *testing.T) {
 	a, b := tcpPair(t)
 	defer a.Close()
 	defer b.Close()
-	if got := sendUntilDelivered(t, a, b, 1, 6, pushsum.Mass{W: 0.5, V: 5}); got != (pushsum.Mass{W: 0.5, V: 5}) {
-		t.Errorf("b received %v", got)
+	sendUntilDelivered(t, a, b, 1, 6, pushsum.Mass{W: 0.5, V: 5})
+	sendUntilDelivered(t, b, a, 6, 1, pushsum.Mass{W: 0.25, V: 9})
+}
+
+// TestTCPHandshakeLearnsPeerAddrLate models two processes that bind
+// first and are told each other's addresses afterwards: traffic toward
+// a group whose address is still unknown is a counted drop, a bad
+// address or group index is refused, and once SetGroupAddr supplies the
+// peer's listener the same send is delivered.
+func TestTCPHandshakeLearnsPeerAddrLate(t *testing.T) {
+	groups := []Group{{Lo: 0, Hi: 4}, {Lo: 4, Hi: 8}}
+	mk := func(local int) *TCP {
+		cfg := TCPConfig{Groups: append([]Group(nil), groups...), Local: []int{local}}
+		cfg.Groups[local].Addr = "127.0.0.1:0"
+		return mustTCP(t, cfg)
 	}
-	if got := sendUntilDelivered(t, b, a, 6, 1, pushsum.Mass{W: 0.25, V: 9}); got != (pushsum.Mass{W: 0.25, V: 9}) {
-		t.Errorf("a received %v", got)
+	a, b := mk(0), mk(1)
+	defer a.Close()
+	defer b.Close()
+	if got := a.GroupAddr(1); got != "" {
+		t.Fatalf("peer group address known before the handshake: %q", got)
 	}
+	a.Send(1, 6, 0, pushsum.Mass{W: 1, V: 1})
+	waitFor(t, "drop toward an address-less group", func() bool { return a.Dropped() == 1 })
+	if a.Sent() != 0 {
+		t.Errorf("Sent = %d before the handshake, want 0", a.Sent())
+	}
+
+	if err := a.SetGroupAddr(2, b.GroupAddr(1)); err == nil {
+		t.Error("out-of-range group index accepted")
+	}
+	if err := a.SetGroupAddr(1, "not an address"); err == nil {
+		t.Error("unresolvable address accepted")
+	}
+	if err := a.SetGroupAddr(1, b.GroupAddr(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := a.GroupAddr(1), b.GroupAddr(1); got != want {
+		t.Errorf("GroupAddr(1) = %q after SetGroupAddr, want %q", got, want)
+	}
+	sendUntilDelivered(t, a, b, 1, 6, pushsum.Mass{W: 0.5, V: 5})
 }
 
 // TestTCPBatchRoundTrip drives the columnar plane over a socket pair:
@@ -184,6 +287,66 @@ func TestTCPOversizeBatchDrops(t *testing.T) {
 	}
 }
 
+// TestTCPLoopbackBatchRoutesToGroup drives the batch plane through one
+// transport owning two loopback groups: the body lands byte-identical
+// on the destination group only, and Sent counts its messages, not the
+// frame.
+func TestTCPLoopbackBatchRoutesToGroup(t *testing.T) {
+	tr, err := NewTCPLoopback(64, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	body := []byte{0x01, 0xaa, 0xbb, 0xcc}
+	if !tr.SendBatch(1, 5, 3, body) {
+		t.Fatal("SendBatch rejected")
+	}
+	var got []byte
+	waitFor(t, "batch delivery", func() bool {
+		tr.DrainBatch(1, func(b []byte) { got = append([]byte(nil), b...) })
+		return got != nil
+	})
+	if !bytes.Equal(got, body) {
+		t.Fatalf("drained %x, want %x", got, body)
+	}
+	waitSent(t, tr, 3)
+	tr.DrainBatch(0, func([]byte) { t.Error("group 0 received a batch sent to group 1") })
+}
+
+// TestTCPBatchSizeCeiling pins MaxBatchBody as exact under a tight
+// MaxFrame: a body of exactly the ceiling fits one frame and is
+// delivered intact, one byte more drops the whole batch with every
+// message counted.
+func TestTCPBatchSizeCeiling(t *testing.T) {
+	const maxFrame = 1 << 12
+	tr := mustTCP(t, WithLoopbackGroups(8, 1), WithMaxFrame(maxFrame))
+	defer tr.Close()
+	if got, want := tr.MaxBatchBody(), maxFrame-maxBatchHeader; got != want {
+		t.Fatalf("MaxBatchBody = %d, want %d (bound by MaxFrame)", got, want)
+	}
+	if tr.SendBatch(0, 0, 9, make([]byte, tr.MaxBatchBody()+1)) {
+		t.Fatal("oversized batch accepted")
+	}
+	if got := tr.Dropped(); got != 9 {
+		t.Errorf("Dropped = %d, want 9", got)
+	}
+	body := bytes.Repeat([]byte{0x5A}, tr.MaxBatchBody())
+	if !tr.SendBatch(0, 1, 4, body) {
+		t.Fatal("batch at the ceiling rejected")
+	}
+	var got []byte
+	waitFor(t, "ceiling batch delivery", func() bool {
+		tr.DrainBatch(0, func(b []byte) { got = append([]byte(nil), b...) })
+		return got != nil
+	})
+	if !bytes.Equal(got, body) {
+		t.Errorf("ceiling batch did not round trip: %d bytes", len(got))
+	}
+	if tr.Dropped() != 9 {
+		t.Errorf("Dropped = %d after the ceiling batch, want 9", tr.Dropped())
+	}
+}
+
 // TestTCPPartialReadsAcrossFrameBoundaries dribbles a valid frame into
 // a listener one byte at a time: the scanner must reassemble it across
 // reads, never mis-split it.
@@ -210,16 +373,21 @@ func TestTCPPartialReadsAcrossFrameBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for got, n := any(nil), 0; ; {
-		got, n = nil, 0
-		tr.Drain(2, func(p any) { got = p; n++ })
-		if n == 2 {
-			if got != (pushsum.Mass{W: 0.75, V: 11}) {
-				t.Fatalf("reassembled payload = %v", got)
+	// The two frames may land in one Drain or in two: count across
+	// drains, under a deadline.
+	want := pushsum.Mass{W: 0.75, V: 11}
+	n := 0
+	for deadline := time.Now().Add(10 * time.Second); n < 2 && time.Now().Before(deadline); {
+		tr.Drain(2, func(p any) {
+			if p != want {
+				t.Errorf("reassembled payload = %v, want %v", p, want)
 			}
-			return
-		}
+			n++
+		})
 		time.Sleep(time.Millisecond)
+	}
+	if n != 2 {
+		t.Fatalf("reassembled %d of 2 frames within deadline", n)
 	}
 }
 
@@ -282,9 +450,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	// notice the dead connection and redial. Drop counts are not
 	// asserted — a frame can die in the flush after being counted
 	// Sent, so a short outage may legally record zero drops.
-	if got := sendUntilDelivered(t, a, b2, 1, 6, pushsum.Mass{W: 2, V: 3}); got != (pushsum.Mass{W: 2, V: 3}) {
-		t.Errorf("post-restart delivery = %v", got)
-	}
+	sendUntilDelivered(t, a, b2, 1, 6, pushsum.Mass{W: 2, V: 3})
 }
 
 // TestTCPSlowPeerDoesNotStallOtherGroups aims a hose at a peer that
@@ -339,9 +505,7 @@ func TestTCPSlowPeerDoesNotStallOtherGroups(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("sends toward the slow peer blocked")
 	}
-	if got := sendUntilDelivered(t, a, b, 0, 5, pushsum.Mass{W: 3, V: 4}); got != (pushsum.Mass{W: 3, V: 4}) {
-		t.Errorf("healthy peer received %v", got)
-	}
+	sendUntilDelivered(t, a, b, 0, 5, pushsum.Mass{W: 3, V: 4})
 }
 
 func TestTCPKillLinkSeversAndRedials(t *testing.T) {
@@ -355,9 +519,9 @@ func TestTCPKillLinkSeversAndRedials(t *testing.T) {
 	if a.Kills() != 1 {
 		t.Errorf("Kills = %d, want 1", a.Kills())
 	}
-	if got := sendUntilDelivered(t, a, b, 1, 6, pushsum.Mass{W: 5, V: 6}); got != (pushsum.Mass{W: 5, V: 6}) {
-		t.Errorf("post-kill delivery = %v", got)
-	}
+	// Resends of the first payload may still be in flight on the old
+	// connection's buffers; only the new payload proves the redial.
+	sendUntilDelivered(t, a, b, 1, 6, pushsum.Mass{W: 5, V: 6})
 }
 
 // TestLossyOverTCPKillsLinks checks the loss translation: a drop draw
@@ -428,12 +592,8 @@ func TestTCPAnnounceBootstrapsMembership(t *testing.T) {
 	}
 
 	// Cross-traffic over bootstrapped links, both directions.
-	if got := sendUntilDelivered(t, j1, seed, 5, 1, pushsum.Mass{W: 1, V: 2}); got != (pushsum.Mass{W: 1, V: 2}) {
-		t.Errorf("joiner→seed = %v", got)
-	}
-	if got := sendUntilDelivered(t, seed, j2, 1, 10, pushsum.Mass{W: 3, V: 4}); got != (pushsum.Mass{W: 3, V: 4}) {
-		t.Errorf("seed→joiner2 = %v", got)
-	}
+	sendUntilDelivered(t, j1, seed, 5, 1, pushsum.Mass{W: 1, V: 2})
+	sendUntilDelivered(t, seed, j2, 1, 10, pushsum.Mass{W: 3, V: 4})
 }
 
 // TestTCPSpanObserverHeartbeats pins the liveness feed the health
@@ -558,9 +718,9 @@ func TestTCPAnnounceLateSeed(t *testing.T) {
 	}
 }
 
-func mustTCP(t *testing.T, cfg TCPConfig) *TCP {
+func mustTCP(t *testing.T, opts ...TCPOption) *TCP {
 	t.Helper()
-	tr, err := NewTCP(cfg)
+	tr, err := NewTCP(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,6 +781,39 @@ func TestTCPConfigValidation(t *testing.T) {
 	}
 }
 
+// TestTCPConfigRejectsMisconfiguredGroups covers the guard rails the
+// basic validation test leaves out: no local group, groups listed out
+// of order, a negative local index, a non-positive loopback population,
+// and a bind address another listener already holds.
+func TestTCPConfigRejectsMisconfiguredGroups(t *testing.T) {
+	if _, err := NewTCP(TCPConfig{Groups: []Group{{Lo: 0, Hi: 4, Addr: "127.0.0.1:0"}}}); err == nil {
+		t.Error("config without a local group accepted")
+	}
+	if _, err := NewTCP(TCPConfig{
+		Groups: []Group{{Lo: 4, Hi: 8, Addr: "127.0.0.1:0"}, {Lo: 0, Hi: 4, Addr: "127.0.0.1:0"}},
+		Local:  []int{0, 1},
+	}); err == nil {
+		t.Error("unsorted groups accepted")
+	}
+	if _, err := NewTCP(TCPConfig{Groups: []Group{{Lo: 0, Hi: 4, Addr: "127.0.0.1:0"}}, Local: []int{-1}}); err == nil {
+		t.Error("negative local index accepted")
+	}
+	if _, err := NewTCPLoopback(0, 1, 0); err == nil {
+		t.Error("empty loopback population accepted")
+	}
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	if _, err := NewTCP(TCPConfig{
+		Groups: []Group{{Lo: 0, Hi: 4, Addr: "127.0.0.1:0"}, {Lo: 4, Hi: 8, Addr: held.Addr().String()}},
+		Local:  []int{0, 1},
+	}); err == nil {
+		t.Error("bind address already in use accepted")
+	}
+}
+
 func TestTCPSendAfterCloseDrops(t *testing.T) {
 	tr, err := NewTCPLoopback(2, 1, 0)
 	if err != nil {
@@ -631,6 +824,160 @@ func TestTCPSendAfterCloseDrops(t *testing.T) {
 	}
 	if tr.Send(0, 1, 0, pushsum.Mass{W: 1, V: 1}) {
 		t.Error("send after Close accepted")
+	}
+	if tr.SendBatch(0, 0, 3, []byte("abc")) {
+		t.Error("batch after Close accepted")
+	}
+	if tr.Sent() != 0 || tr.Dropped() != 4 {
+		t.Errorf("sent %d dropped %d, want 0/4", tr.Sent(), tr.Dropped())
+	}
+}
+
+// TestTCPSendToClosedPeerDrops closes one side of a pair before the
+// other ever dials it: the survivor's sends are accepted onto the
+// outbox, then dropped by the writer when the dial is refused — never
+// counted Sent — and Close stays idempotent.
+func TestTCPSendToClosedPeerDrops(t *testing.T) {
+	a, b := tcpPair(t)
+	defer a.Close()
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+	if !a.Send(1, 6, 0, pushsum.Mass{W: 1, V: 1}) {
+		t.Fatal("send toward a closed peer rejected at the outbox")
+	}
+	waitFor(t, "drop toward the closed peer", func() bool { return a.Dropped() == 1 })
+	if a.Sent() != 0 {
+		t.Errorf("Sent = %d, want 0", a.Sent())
+	}
+}
+
+func TestTCPUnencodablePayloadDrops(t *testing.T) {
+	tr, err := NewTCPLoopback(2, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if tr.Send(0, 1, 0, struct{ X int }{1}) {
+		t.Error("unencodable payload accepted")
+	}
+	if tr.Dropped() != 1 {
+		t.Errorf("Dropped = %d, want 1", tr.Dropped())
+	}
+}
+
+// writeFrames dials a local group's listener and writes each envelope
+// as one frame — a peer process's stream, minus its writer goroutine.
+func writeFrames(t *testing.T, tr *TCP, group int, envs ...[]byte) net.Conn {
+	t.Helper()
+	raw, err := net.Dial("tcp", tr.GroupAddr(group))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream []byte
+	for _, env := range envs {
+		stream = wire.AppendFrame(stream, env)
+	}
+	if _, err := raw.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not reached within deadline", what)
+		}
+	}
+}
+
+// TestTCPHostQueueOverflowCounts fills a 1-slot host inbox from the
+// wire: the reader must shed everything beyond it without blocking,
+// and count each shed message as an overflow drop.
+func TestTCPHostQueueOverflowCounts(t *testing.T) {
+	tr, err := NewTCPLoopback(2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	const burst = 64
+	var envs [][]byte
+	for i := 0; i < burst; i++ {
+		env, err := appendEnvelope(nil, 0, 1, i, pushsum.Mass{W: 1, V: float64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs = append(envs, env)
+	}
+	raw := writeFrames(t, tr, 0, envs...)
+	defer raw.Close()
+	waitFor(t, "overflow drops", func() bool { return tr.OverflowDrops() == burst-1 })
+	delivered := 0
+	tr.Drain(1, func(any) { delivered++ })
+	if delivered != 1 || tr.Dropped() != burst-1 {
+		t.Errorf("delivered %d dropped %d, want 1/%d", delivered, tr.Dropped(), burst-1)
+	}
+}
+
+func TestTCPSendToUnknownGroupAddrDrops(t *testing.T) {
+	tr := mustTCP(t, TCPConfig{
+		Groups: []Group{{Lo: 0, Hi: 2, Addr: "127.0.0.1:0"}, {Lo: 2, Hi: 4}},
+		Local:  []int{0},
+	})
+	defer tr.Close()
+	// The address-less group's writer has nowhere to dial: the frame
+	// is accepted onto its outbox and dropped there.
+	tr.Send(0, 3, 0, pushsum.Mass{W: 1, V: 1})
+	if tr.Send(0, 99, 0, pushsum.Mass{W: 1, V: 1}) {
+		t.Error("send to host outside every group accepted")
+	}
+	waitFor(t, "both drops", func() bool { return tr.Dropped() == 2 })
+	if tr.Sent() != 0 {
+		t.Errorf("Sent = %d, want 0", tr.Sent())
+	}
+}
+
+// TestTCPForgedFrameDoesNotPanicReceivers feeds a listener well-framed
+// garbage: envelopes with an unknown kind or a truncated body are
+// counted drops that deliver nothing and leave the stream usable. A
+// forged counter matrix far larger than any host's sketch is legal
+// wire format and decodes, and the protocol's Receive must shrug it off
+// as a lost radio message instead of panicking the process.
+func TestTCPForgedFrameDoesNotPanicReceivers(t *testing.T) {
+	tr, err := NewTCPLoopback(2, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	unknown := wire.AppendHeader(nil, wire.Header{Kind: 200, To: 1})
+	truncated := wire.AppendHeader(nil, wire.Header{Kind: kindPushSumMass, To: 1})
+	truncated = append(truncated, 1, 2, 3)
+	forged := wire.AppendHeader(nil, wire.Header{Kind: kindResetCounters, To: 1, From: 0, Tick: 0})
+	forged = wire.AppendCounters(forged, make([]uint8, 4096)) // nobody's sketch is this big
+	raw := writeFrames(t, tr, 0, []byte{0xFF}, unknown, truncated, forged)
+	defer raw.Close()
+
+	payload := drainOne(t, tr, 1)
+	if tr.Dropped() != 3 {
+		t.Errorf("Dropped = %d, want 3 (one per garbage frame)", tr.Dropped())
+	}
+	counters, ok := payload.([]uint8)
+	if !ok || len(counters) != 4096 {
+		t.Fatalf("forged payload decoded as %T", payload)
+	}
+	// The guard lives in the protocol: a mis-shaped matrix merges as
+	// a no-op rather than indexing out of range.
+	node := sketchreset.New(1, sketchreset.Config{Params: sketch.Params{Bins: 4, Levels: 8}, Identifiers: 1})
+	before, _ := node.Estimate()
+	node.Receive(counters)
+	if after, _ := node.Estimate(); after != before {
+		t.Errorf("forged matrix changed the estimate %v -> %v", before, after)
 	}
 }
 

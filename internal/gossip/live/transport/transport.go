@@ -2,10 +2,11 @@
 // its messages travel over. The engine used to own a slice of buffered
 // Go channels; that plumbing is now behind the Transport interface so
 // the same protocol code can run over in-process channels (the test
-// default, byte-for-byte the old behavior), over real UDP sockets with
-// wire-encoded datagrams (package-level loopback today, one hop from a
-// real radio), or over either with injected loss — the environment the
-// paper's protocols are actually designed for.
+// default, byte-for-byte the old behavior), over TCP streams carrying
+// wire-encoded frames (loopback in one process, or a multi-process
+// cluster joined by the Announce bootstrap), or over either with
+// seeded loss injected by Lossy — the environment the paper's
+// protocols are actually designed for.
 //
 // A Transport moves payloads between hosts identified by gossip.NodeID
 // and owns the sent/dropped accounting. The channel transport decides
@@ -13,7 +14,7 @@
 // exactly once (sent XOR dropped); a networked transport has two
 // stations — the sender's hand-off to the kernel and the receiver's
 // queue — and a message that clears the first but dies at the second
-// appears in both counters (see UDP.Sent). Delivery is at-most-once
+// appears in both counters (see TCP.Sent). Delivery is at-most-once
 // and unordered, like the saturated radio of the paper's §II: the
 // protocols must tolerate both, so the transport never retries and
 // never blocks the sender.
@@ -62,15 +63,22 @@ type Transport interface {
 // Channel is the in-process transport: one buffered Go channel per
 // host, non-blocking sends, messages beyond capacity dropped as a
 // saturated radio would drop them. This is the live engine's original
-// inbox plumbing, extracted verbatim; it remains the default and keeps
-// live runs free of sockets and codecs.
+// inbox plumbing; it remains the default and keeps live runs free of
+// sockets and codecs.
 type Channel struct {
-	inbox   []chan any
-	sent    atomic.Int64
-	dropped atomic.Int64
-	closed  atomic.Bool
+	// inbox is the per-host plane, built on the first Send or Drain: a
+	// columnar run moves everything over the batch plane, and a
+	// million buffered channels must not be paid for a plane that
+	// never carries a message.
+	inbox     []chan any
+	inboxOnce sync.Once
+	hosts     int
+	capacity  int
+	sent      atomic.Int64
+	dropped   atomic.Int64
+	closed    atomic.Bool
 
-	// Batch plane (Batcher): the same group partition the UDP
+	// Batch plane (Batcher): the group partition a loopback TCP
 	// transport would use, one batch queue per group, bodies held in
 	// pooled buffers.
 	groups    []Group
@@ -90,9 +98,9 @@ func NewChannel(hosts, capacity int) *Channel {
 
 // NewChannelGroups is NewChannel with the batch plane split into
 // `groups` contiguous host groups (clamped to [1, hosts]) — the
-// in-process mirror of NewUDPLoopback's socket layout, so columnar
-// shard counts can be exercised without sockets. The per-host plane is
-// unaffected.
+// in-process mirror of NewTCPLoopback's listener layout, so columnar
+// shard counts can be exercised without sockets. capacity bounds both
+// each host's inbox and each group's batch queue.
 func NewChannelGroups(hosts, capacity, groups int) *Channel {
 	if capacity <= 0 {
 		capacity = DefaultQueue
@@ -104,11 +112,9 @@ func NewChannelGroups(hosts, capacity, groups int) *Channel {
 		groups = hosts
 	}
 	c := &Channel{
-		inbox:   make([]chan any, hosts),
-		batches: make([]chan batchItem, groups),
-	}
-	for i := range c.inbox {
-		c.inbox[i] = make(chan any, capacity)
+		hosts:    hosts,
+		capacity: capacity,
+		batches:  make([]chan batchItem, groups),
 	}
 	for g := 0; g < groups; g++ {
 		c.groups = append(c.groups, Group{
@@ -124,6 +130,17 @@ func NewChannelGroups(hosts, capacity, groups int) *Channel {
 	return c
 }
 
+// inboxes returns the per-host inboxes, building them on first use.
+func (c *Channel) inboxes() []chan any {
+	c.inboxOnce.Do(func() {
+		c.inbox = make([]chan any, c.hosts)
+		for i := range c.inbox {
+			c.inbox[i] = make(chan any, c.capacity)
+		}
+	})
+	return c.inbox
+}
+
 // Send implements Transport: a non-blocking channel send.
 func (c *Channel) Send(from, to gossip.NodeID, tick int, payload any) bool {
 	if c.closed.Load() {
@@ -131,7 +148,7 @@ func (c *Channel) Send(from, to gossip.NodeID, tick int, payload any) bool {
 		return false
 	}
 	select {
-	case c.inbox[to] <- payload:
+	case c.inboxes()[to] <- payload:
 		c.sent.Add(1)
 		return true
 	default:
@@ -142,9 +159,10 @@ func (c *Channel) Send(from, to gossip.NodeID, tick int, payload any) bool {
 
 // Drain implements Transport: a non-blocking drain loop.
 func (c *Channel) Drain(id gossip.NodeID, fn func(payload any)) {
+	q := c.inboxes()[id]
 	for {
 		select {
-		case p := <-c.inbox[id]:
+		case p := <-q:
 			fn(p)
 		default:
 			return
@@ -239,10 +257,11 @@ func (l *Lossy) Send(from, to gossip.NodeID, tick int, payload any) bool {
 }
 
 // killLink translates a drop draw for a connection-oriented inner
-// transport: a reliable stream has no silent datagram loss, so "this
-// message was lost" becomes "the link carrying it failed" — the
+// transport: a reliable stream has no silent per-message loss, so
+// "this message was lost" becomes "the link carrying it failed" — the
 // connection is severed and the reconnect window models the outage.
-// Datagram transports don't implement LinkKiller and are unaffected.
+// Transports without connections (Channel) don't implement LinkKiller
+// and keep independent per-message loss.
 func (l *Lossy) killLink(to gossip.NodeID) {
 	if lk, ok := l.T.(LinkKiller); ok {
 		lk.KillLink(to)

@@ -1,6 +1,6 @@
 // Native Go fuzz targets for every wire decoder that a network
-// transport feeds with attacker-controllable bytes (a UDP socket is an
-// open radio). The invariants under fuzz: no panics, no unbounded
+// transport feeds with attacker-controllable bytes (a listening socket
+// is an open radio). The invariants under fuzz: no panics, no unbounded
 // allocations, and every accepted input survives a
 // decode → encode → decode cycle with identical values. Byte-identical
 // re-encoding is NOT asserted: uvarints admit non-minimal forms and
